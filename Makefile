@@ -12,8 +12,10 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The allocation guards skip under -race, so they run once more without it.
 test:
 	$(GO) test -race ./...
+	$(GO) test . ./internal/disk -run 'TestWarmQueryAllocs|TestScanChainAllocs' -count=1
 
 # pcvet is the repository's custom multichecker (cmd/pcvet): pager
 # discipline, lock-vs-I/O ordering, fixed-width encodings, %w error

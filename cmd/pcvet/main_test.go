@@ -62,16 +62,25 @@ func TestMultichecker(t *testing.T) {
 
 	// The durability analyzers ride the same binary: each bad fixture must
 	// fail through the multichecker exactly as it does under analysistest.
+	// pagerdiscipline's view-write family has a fixture package of its own.
 	for _, tc := range []struct {
 		analyzer string
+		fixture  string // defaults to <analyzer>_bad
 		frag     string
 	}{
-		{"durabilityorder", "acknowledges a WAL append with no fsync barrier"},
-		{"commitprotocol", "freed with no commit flip"},
-		{"snapshotimmutable", "derived from a //pcvet:snapshot field"},
+		{"durabilityorder", "", "acknowledges a WAL append with no fsync barrier"},
+		{"commitprotocol", "", "freed with no commit flip"},
+		{"snapshotimmutable", "", "derived from a //pcvet:snapshot field"},
+		{"pagerdiscipline", "viewwrite_bad", "write into a page view"},
 	} {
-		t.Run("FixtureFails/"+tc.analyzer, func(t *testing.T) {
-			fixture := filepath.Join("internal", "analysis", tc.analyzer, "testdata", "src", tc.analyzer+"_bad")
+		name := tc.analyzer
+		if tc.fixture == "" {
+			tc.fixture = tc.analyzer + "_bad"
+		} else {
+			name += "/" + tc.fixture
+		}
+		t.Run("FixtureFails/"+name, func(t *testing.T) {
+			fixture := filepath.Join("internal", "analysis", tc.analyzer, "testdata", "src", tc.fixture)
 			cmd := exec.Command(bin, fixture)
 			cmd.Dir = root
 			var stderr bytes.Buffer

@@ -220,16 +220,16 @@ func RecvNamed(fn *types.Func) *types.Named {
 }
 
 // pagerIOMethods are the Pager-shaped methods that transfer or release pages.
-// Flush is the pool's bulk write-back; Append/Close are ChainWriter's
-// page-emitting operations.
+// ReadView is the pool's zero-copy read; Flush is the pool's bulk
+// write-back; Append/Close are ChainWriter's page-emitting operations.
 var pagerIOMethods = map[string]bool{
-	"Read": true, "Write": true, "Alloc": true, "Free": true,
+	"Read": true, "ReadView": true, "Write": true, "Alloc": true, "Free": true,
 	"Flush": true, "Append": true, "Close": true,
 }
 
 // pagerIOFuncs are the package-level disk helpers that perform page I/O.
 var pagerIOFuncs = map[string]bool{
-	"ScanChain": true, "FreeChain": true, "WriteChain": true,
+	"ScanChain": true, "FreeChain": true, "WriteChain": true, "ReadView": true,
 }
 
 // IsPagerIO reports whether fn is a disk-package function or method that

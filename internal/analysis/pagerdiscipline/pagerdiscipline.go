@@ -1,9 +1,9 @@
 // Package pagerdiscipline enforces the repository's I/O-accounting contract:
 // index structures touch pages only through the disk.Pager they were built
-// with, and never retain aliases of page buffers past the read that produced
-// them.
+// with, never retain aliases of page buffers past the read that produced
+// them, and never write into a page view.
 //
-// Three families of violations are reported:
+// Four families of violations are reported:
 //
 //  1. Direct *disk.Store or *disk.FileStore page I/O (Read/Write/Alloc/Free)
 //     from an index package. Structures hold a disk.Pager; reaching beneath
@@ -33,6 +33,15 @@
 //     not retained. Decoding out by value (record.DecodePoint,
 //     record.PointView(rec).Point(), binary.LittleEndian.Uint64,
 //     append(dst, rec...), copy) is the sanctioned way out.
+//
+//  4. Writes through a page view. disk.ReadView results (and those of a
+//     PageViewer's ReadView or a disk.PageReader's Read), skeletal node
+//     payloads and ScanChain records may be buffer pool frames, which are
+//     immutable and shared by every concurrent reader of the page. An index
+//     assignment into one, copy or clear into it, a binary.*.Put* into it,
+//     or an in-place sort or reverse of it is reported. Family 3 still
+//     holds: on pagers without frames the record is a scratch buffer the
+//     next page read overwrites.
 package pagerdiscipline
 
 import (
@@ -45,7 +54,7 @@ import (
 // Analyzer is the pagerdiscipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "pagerdiscipline",
-	Doc:  "index packages must do all page I/O through their disk.Pager and must not retain page-buffer aliases",
+	Doc:  "index packages must do all page I/O through their disk.Pager, must not retain page-buffer aliases and must not write into page views",
 	Run:  run,
 }
 
@@ -54,6 +63,11 @@ var storeIOMethods = map[string]bool{"Read": true, "Write": true, "Alloc": true,
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				checkViewWrites(pass, fd.Body)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -131,23 +145,9 @@ func checkCounterWrap(pass *analysis.Pass, call *ast.CallExpr) {
 // checkScanChainCallback analyzes the func literal passed to disk.ScanChain
 // for escaping aliases of the per-record slice.
 func checkScanChainCallback(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := analysis.CalleeOf(pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "ScanChain" || !analysis.PkgIs(fn.Pkg(), "internal/disk") {
-		return
-	}
-	if len(call.Args) < 4 {
-		return
-	}
-	lit, ok := ast.Unparen(call.Args[3]).(*ast.FuncLit)
-	if !ok {
-		return // named callbacks are outside this analyzer's local reasoning
-	}
-	if len(lit.Type.Params.List) == 0 || len(lit.Type.Params.List[0].Names) == 0 {
-		return // parameter unnamed: the record cannot be referenced at all
-	}
-	recObj := pass.TypesInfo.Defs[lit.Type.Params.List[0].Names[0]]
+	lit, recObj := scanChainCallback(pass, call)
 	if recObj == nil {
-		return
+		return // not ScanChain, a named callback, or an unnamed record
 	}
 	esc := &escapeChecker{pass: pass, lit: lit, aliases: map[types.Object]bool{recObj: true}}
 	// Local variables assigned from an alias become aliases themselves;
@@ -160,6 +160,22 @@ func checkScanChainCallback(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 	}
 	ast.Inspect(lit.Body, esc.checkEscapes)
+}
+
+// scanChainCallback returns the func literal passed to disk.ScanChain and
+// its record parameter's object; the object is nil when the call is not a
+// ScanChain, the callback is not a literal, or the parameter is unnamed
+// (then the record cannot be referenced at all).
+func scanChainCallback(pass *analysis.Pass, call *ast.CallExpr) (*ast.FuncLit, types.Object) {
+	fn := analysis.CalleeOf(pass.TypesInfo, call)
+	if fn == nil || fn.Name() != "ScanChain" || !analysis.PkgIs(fn.Pkg(), "internal/disk") || len(call.Args) < 4 {
+		return nil, nil
+	}
+	lit, ok := ast.Unparen(call.Args[3]).(*ast.FuncLit)
+	if !ok || len(lit.Type.Params.List) == 0 || len(lit.Type.Params.List[0].Names) == 0 {
+		return nil, nil
+	}
+	return lit, pass.TypesInfo.Defs[lit.Type.Params.List[0].Names[0]]
 }
 
 // escapeChecker tracks which objects alias the callback's record slice and

@@ -14,3 +14,11 @@ func TestViolations(t *testing.T) {
 func TestSanctionedPatterns(t *testing.T) {
 	analysistest.NoDiagnostics(t, "testdata/src/pagerdiscipline_good", pagerdiscipline.Analyzer)
 }
+
+func TestViewWrites(t *testing.T) {
+	analysistest.Run(t, "testdata/src/viewwrite_bad", pagerdiscipline.Analyzer)
+}
+
+func TestViewWritesSanctioned(t *testing.T) {
+	analysistest.NoDiagnostics(t, "testdata/src/viewwrite_good", pagerdiscipline.Analyzer)
+}

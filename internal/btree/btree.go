@@ -161,9 +161,11 @@ func eytzOrder(n int) []int {
 	return ord
 }
 
+// readNode decodes page id into a fresh node. The page bytes are only read
+// during the decode, so a pool frame is borrowed rather than copied.
 func (t *Tree) readNode(id disk.PageID) (*node, error) {
-	buf := make([]byte, t.pager.PageSize())
-	if err := t.pager.Read(id, buf); err != nil {
+	buf, err := disk.ReadView(t.pager, id)
+	if err != nil {
 		return nil, err
 	}
 	kind, layout, count, err := checkHeader(buf, id)

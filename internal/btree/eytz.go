@@ -8,8 +8,9 @@ import (
 )
 
 // This file is the zero-copy read path used by Search/Range on
-// disk.LayoutEytzinger trees. It operates directly on the page bytes: one
-// scratch page buffer per operation, no node decoding, no []Entry
+// disk.LayoutEytzinger trees. It operates directly on the page bytes: pool
+// frames borrowed through disk.PageReader (one scratch page buffer per
+// operation on pool-less pagers), no node decoding, no []Entry
 // allocation, and a branch-free descent — comparisons reduce to SETcc/CMOV
 // index arithmetic instead of data-dependent branches.
 //
@@ -137,18 +138,19 @@ func rawChild(buf []byte, layout disk.Layout, n int, ku, val uint64) disk.PageID
 	return disk.PageID(le64(buf[intFixed+(pred-1)*intEntry+16:]))
 }
 
-// rangeRaw is Range over the zero-copy path. It reuses one scratch page
-// buffer for the whole operation and dispatches each node on its header
-// layout byte, so it is also correct for sorted nodes (the descent is then
-// a raw binary search instead of the branchless walk).
+// rangeRaw is Range over the zero-copy path. It reads pages as pool views
+// (or into one scratch buffer for the whole operation) and dispatches each
+// node on its header layout byte, so it is also correct for sorted nodes
+// (the descent is then a raw binary search instead of the branchless walk).
 func (t *Tree) rangeRaw(lo, hi int64, fn func(key int64, val uint64) bool) error {
 	ku := uint64(lo) ^ signFlip
 	hku := uint64(hi) ^ signFlip
 	const val = 0 // range start at Val 0: first entry with Key >= lo
-	buf := make([]byte, t.pager.PageSize())
+	r := disk.NewPageReader(t.pager)
 	id := t.root
 	for {
-		if err := t.pager.Read(id, buf); err != nil {
+		buf, err := r.Read(id)
+		if err != nil {
 			return err
 		}
 		kind, layout, count, err := checkHeader(buf, id)
@@ -156,16 +158,17 @@ func (t *Tree) rangeRaw(lo, hi int64, fn func(key int64, val uint64) bool) error
 			return err
 		}
 		if kind == kindLeaf {
-			return t.scanLeavesRaw(buf, id, layout, count, ku, hku, val, fn)
+			return scanLeavesRaw(&r, buf, layout, count, ku, hku, val, fn)
 		}
 		id = rawChild(buf, layout, count, ku, val)
 	}
 }
 
 // scanLeavesRaw emits entries in [start, hi] from the leaf in buf onward,
-// following the leaf chain. first selects the in-order start position; the
-// Eytzinger iteration order is the arithmetic in-order successor walk.
-func (t *Tree) scanLeavesRaw(buf []byte, id disk.PageID, layout disk.Layout, count int, ku, hku, val uint64, fn func(key int64, val uint64) bool) error {
+// following the leaf chain through r. The first leaf starts at the in-order
+// position of (ku, val); the Eytzinger iteration order is the arithmetic
+// in-order successor walk.
+func scanLeavesRaw(r *disk.PageReader, buf []byte, layout disk.Layout, count int, ku, hku, val uint64, fn func(key int64, val uint64) bool) error {
 	atStart := true
 	for {
 		if layout == disk.LayoutEytzinger {
@@ -205,8 +208,9 @@ func (t *Tree) scanLeavesRaw(buf []byte, id disk.PageID, layout disk.Layout, cou
 		if next == disk.InvalidPage {
 			return nil
 		}
-		id = next
-		if err := t.pager.Read(id, buf); err != nil {
+		id := next
+		var err error
+		if buf, err = r.Read(id); err != nil {
 			return err
 		}
 		kind, l, c, err := checkHeader(buf, id)

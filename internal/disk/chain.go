@@ -129,8 +129,13 @@ func (w *ChainWriter) Close() (head PageID, pages, count int, err error) {
 
 // ScanChain reads a chain page by page, invoking fn for each record. fn
 // returns false to stop the scan early (the standard "scan until out of
-// range" pattern). The per-record slice aliases an internal buffer and must
-// not be retained. ScanChain returns the number of page reads performed.
+// range" pattern). ScanChain returns the number of page reads performed.
+//
+// Pages are read through a PageReader: a pool hands out its immutable
+// frames (no copy, no allocation per page), and any other pager reads into
+// one scratch buffer per scan. The per-record slice therefore aliases
+// either a pool frame shared with every concurrent reader or a buffer the
+// next page read overwrites: fn must neither retain it nor write into it.
 func ScanChain(p Pager, recSize int, head PageID, fn func(rec []byte) bool) (pageReads int, err error) {
 	if head == InvalidPage {
 		return 0, nil
@@ -139,9 +144,10 @@ func ScanChain(p Pager, recSize int, head PageID, fn func(rec []byte) bool) (pag
 	if recSize <= 0 || c < 1 {
 		return 0, fmt.Errorf("%w: rec=%d page=%d", ErrRecordSize, recSize, p.PageSize())
 	}
-	buf := make([]byte, p.PageSize())
+	r := NewPageReader(p)
 	for id := head; id != InvalidPage; {
-		if err := p.Read(id, buf); err != nil {
+		buf, err := r.Read(id)
+		if err != nil {
 			return pageReads, err
 		}
 		pageReads++
@@ -151,7 +157,10 @@ func ScanChain(p Pager, recSize int, head PageID, fn func(rec []byte) bool) (pag
 			return pageReads, fmt.Errorf("disk: corrupt chain page %d: count %d > cap %d: %w", id, n, c, ErrCorrupt)
 		}
 		for i := 0; i < n; i++ {
-			if !fn(buf[chainHeader+i*recSize : chainHeader+(i+1)*recSize]) {
+			// The capacity is capped at the record so an append to rec
+			// reallocates instead of writing over its neighbour.
+			end := chainHeader + (i+1)*recSize
+			if !fn(buf[end-recSize : end : end]) {
 				return pageReads, nil
 			}
 		}

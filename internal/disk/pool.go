@@ -72,6 +72,9 @@ type BufferPool struct {
 	shardBits uint // shard index = top shardBits bits of the mixed PageID
 }
 
+// frame is one resident page. data is immutable once installed: a write
+// replaces the slice, and a dropped frame's slice is never reused, so
+// ReadView can hand it out without a copy.
 type frame struct {
 	id    PageID
 	data  []byte
@@ -174,12 +177,31 @@ func (p *BufferPool) free(id PageID, c *Counter) error {
 // Read returns the page contents, from cache when possible.
 func (p *BufferPool) Read(id PageID, buf []byte) error { return p.read(id, buf, nil) }
 
-// read is the counted entry point: a hit is free for the operation, a miss
-// attributes the store read (and any eviction write-back it forces) to c.
+// ReadView implements PageViewer: it returns the page's frame itself, with
+// the accounting Read performs and no copy. The frame is immutable (see
+// PageViewer), so the view stays valid after the page is evicted, freed,
+// flushed or rewritten. Callers must not write into it.
+func (p *BufferPool) ReadView(id PageID) ([]byte, error) { return p.view(id, nil) }
+
+// read is the counted copying entry point: view plus one copy. The copy
+// runs after the shard latch is released; the frame it copies from is
+// immutable, so no writer can tear it.
 func (p *BufferPool) read(id PageID, buf []byte, c *Counter) error {
 	if len(buf) < p.store.PageSize() {
 		return ErrShortBuf
 	}
+	data, err := p.view(id, c)
+	if err != nil {
+		return err
+	}
+	copy(buf, data)
+	return nil
+}
+
+// view is the counted entry point shared by Read and ReadView: a hit is
+// free for the operation, a miss attributes the store read (and any
+// eviction write-back it forces) to c. It returns the resident frame.
+func (p *BufferPool) view(id PageID, c *Counter) ([]byte, error) {
 	sh := p.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -187,8 +209,7 @@ func (p *BufferPool) read(id PageID, buf []byte, c *Counter) error {
 		sh.hits.Add(1)
 		c.addHit()
 		sh.lru.MoveToFront(el)
-		copy(buf, el.Value.(*frame).data)
-		return nil
+		return el.Value.(*frame).data, nil
 	}
 	sh.misses.Add(1)
 	data := make([]byte, p.store.PageSize())
@@ -199,19 +220,20 @@ func (p *BufferPool) read(id PageID, buf []byte, c *Counter) error {
 	// invariants".
 	//pcvet:allow lockheldio -- sanctioned single-page miss fill under the shard latch
 	if err := p.store.Read(id, data); err != nil {
-		return err
+		return nil, err
 	}
 	c.addRead()
 	//pcvet:allow lockheldio -- insert under the shard latch; eviction write-back is the sanctioned exception
 	if err := p.insert(sh, &frame{id: id, data: data}, c); err != nil {
-		return err
+		return nil, err
 	}
-	copy(buf, data)
-	return nil
+	return data, nil
 }
 
 // Write updates the cached page, marking it dirty; the store is updated on
-// eviction or Flush.
+// eviction or Flush. Writing a resident page copies on write: the frame
+// gets a new data slice and the old one, which ReadView callers may still
+// hold, is never written again.
 func (p *BufferPool) Write(id PageID, buf []byte) error { return p.write(id, buf, nil) }
 
 func (p *BufferPool) write(id PageID, buf []byte, c *Counter) error {
@@ -227,13 +249,12 @@ func (p *BufferPool) write(id PageID, buf []byte, c *Counter) error {
 		c.addHit()
 		sh.lru.MoveToFront(el)
 		f := el.Value.(*frame)
-		copy(f.data, buf[:ps])
+		f.data = append([]byte(nil), buf[:ps]...)
 		f.dirty = true
 		return nil
 	}
 	sh.misses.Add(1)
-	data := make([]byte, ps)
-	copy(data, buf[:ps])
+	data := append([]byte(nil), buf[:ps]...)
 	//pcvet:allow lockheldio -- insert under the shard latch; eviction write-back is the sanctioned exception
 	return p.insert(sh, &frame{id: id, data: data, dirty: true}, c)
 }
@@ -264,6 +285,8 @@ func (v *poolOpView) Alloc() (PageID, error) {
 func (v *poolOpView) Free(id PageID) error { return v.p.free(id, v.c) }
 
 func (v *poolOpView) Read(id PageID, buf []byte) error { return v.p.read(id, buf, v.c) }
+
+func (v *poolOpView) ReadView(id PageID) ([]byte, error) { return v.p.view(id, v.c) }
 
 func (v *poolOpView) Write(id PageID, buf []byte) error { return v.p.write(id, buf, v.c) }
 

@@ -76,3 +76,64 @@ func BenchmarkPoolParallel(b *testing.B) {
 		})
 	}
 }
+
+// warmPoolTrace builds a 4 KiB-page store of nPages pages under a pool that
+// holds all of them, warms every page, and returns the pool with a random
+// access trace: the pool-hit layer of a warm query in isolation.
+func warmPoolTrace(b *testing.B) (*BufferPool, []PageID) {
+	const (
+		pageSize = 4096
+		nPages   = 1024
+	)
+	s := MustStore(pageSize)
+	pool, err := NewBufferPool(s, nPages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]PageID, nPages)
+	for i := range ids {
+		if ids[i], err = s.Alloc(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pool.ReadView(ids[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	trace := make([]PageID, 4096)
+	for i := range trace {
+		trace[i] = ids[rng.Intn(nPages)]
+	}
+	return pool, trace
+}
+
+// BenchmarkPoolRead is one warm pool hit through the copying Read: latch,
+// LRU bump and a 4 KiB copy into the caller's buffer.
+func BenchmarkPoolRead(b *testing.B) {
+	pool, trace := warmPoolTrace(b)
+	buf := make([]byte, pool.PageSize())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pool.Read(trace[i%len(trace)], buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPoolReadView is the same hit through ReadView: latch and LRU bump
+// only; the frame itself is returned.
+func BenchmarkPoolReadView(b *testing.B) {
+	pool, trace := warmPoolTrace(b)
+	var sink byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := pool.ReadView(trace[i%len(trace)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink ^= v[0]
+	}
+	_ = sink
+}

@@ -211,7 +211,7 @@ func (be *Backend) OpPager(c *disk.Counter) disk.Pager {
 	if be.pf != nil {
 		// Expose the Prefetch extension so descent code can hint the next
 		// path pages; hints bypass the counter by construction.
-		return prefetchPager{Pager: p, pf: be.pf}
+		return withPrefetch(p, be.pf)
 	}
 	return p
 }

@@ -51,12 +51,15 @@ func newPrefetcher(p disk.Pager, workers, depth int) *Prefetcher {
 
 func (pf *Prefetcher) run() {
 	defer pf.wg.Done()
-	buf := make([]byte, pf.pager.PageSize())
+	// The worker only needs the pool fill, not the bytes: a PageReader
+	// borrows the frame instead of copying it (and keeps one scratch
+	// buffer when a wrapper hides the pool's views).
+	r := disk.NewPageReader(pf.pager)
 	for id := range pf.queue {
 		// A failed prefetch is a no-op: the foreground read will surface
 		// the error (or succeed) on its own.
 		//pcvet:allow errwrapinjected -- best-effort warm-up; the foreground read re-performs the access and surfaces any fault
-		_ = pf.pager.Read(id, buf)
+		_, _ = r.Read(id)
 	}
 }
 
@@ -92,3 +95,25 @@ type prefetchPager struct {
 
 // Prefetch forwards the hint to the backend's prefetcher.
 func (pp prefetchPager) Prefetch(id disk.PageID) { pp.pf.Prefetch(id) }
+
+// prefetchViewPager is prefetchPager over a pager that lends its frames.
+// Embedding disk.Pager promotes only the Pager methods, so the view method
+// is forwarded explicitly; without it every pool+prefetch op would take
+// the copying fallback of disk.ReadView.
+type prefetchViewPager struct {
+	prefetchPager
+	v disk.PageViewer
+}
+
+// ReadView forwards to the wrapped pager's zero-copy read.
+func (pp prefetchViewPager) ReadView(id disk.PageID) ([]byte, error) { return pp.v.ReadView(id) }
+
+// withPrefetch wraps an op pager with the prefetch extension, keeping its
+// zero-copy read when it has one.
+func withPrefetch(p disk.Pager, pf *Prefetcher) disk.Pager {
+	pp := prefetchPager{Pager: p, pf: pf}
+	if v, ok := p.(disk.PageViewer); ok {
+		return prefetchViewPager{prefetchPager: pp, v: v}
+	}
+	return pp
+}

@@ -163,3 +163,48 @@ func TestPrefetchCloseDrains(t *testing.T) {
 		t.Fatalf("store saw %d reads after Close, want %d (every accepted hint served)", got, enq)
 	}
 }
+
+// TestPrefetchOpPagerKeepsViews checks that the prefetch decorator forwards
+// the pool op view's zero-copy read, with the op's accounting, and hides it
+// when a wrapper already hid the pool: a pool+prefetch store keeps the
+// fast path, and a wrapped one keeps its wrapper's Read.
+func TestPrefetchOpPagerKeepsViews(t *testing.T) {
+	be, err := New(Config{PageSize: 256, BufferPoolPages: 8, PrefetchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	id, err := be.Pager().Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctr disk.Counter
+	op := be.OpPager(&ctr)
+	if _, ok := op.(interface{ Prefetch(disk.PageID) }); !ok {
+		t.Fatalf("OpPager %T lost Prefetch", op)
+	}
+	v, ok := op.(disk.PageViewer)
+	if !ok {
+		t.Fatalf("OpPager %T over a pool hides ReadView", op)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := v.ReadView(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Alloc does not bring the page into the pool: the first view misses,
+	// the second hits, both on the op's counter.
+	if ctr.Stats().Reads != 1 || ctr.Hits() != 1 {
+		t.Fatalf("two views counted reads=%d hits=%d, want 1 and 1", ctr.Stats().Reads, ctr.Hits())
+	}
+
+	wrapped, err := New(Config{PageSize: 256, BufferPoolPages: 8, PrefetchWorkers: 1,
+		WrapPager: func(p disk.Pager) disk.Pager { return &disk.SlowPager{Inner: p} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrapped.Close()
+	if _, ok := wrapped.OpPager(&ctr).(disk.PageViewer); ok {
+		t.Fatal("OpPager offers views through a wrapper that only exposes Read")
+	}
+}

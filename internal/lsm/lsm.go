@@ -759,6 +759,15 @@ func (t *Tree) CompactSnapshot(p disk.Pager) (int, error) {
 
 	live, old, err := t.gatherLive(p, levels, tombs)
 	if err != nil {
+		// A flush or compaction that landed meanwhile frees the snapshot's
+		// pages (and the store may reuse them), so a failed read of the
+		// snapshot is then staleness, not damage.
+		t.mu.RLock()
+		moved := t.seq != seq0
+		t.mu.RUnlock()
+		if moved {
+			return 0, ErrStale
+		}
 		return 0, err
 	}
 	slot := 0
@@ -920,22 +929,23 @@ func (t *Tree) Has(p disk.Pager, pt record.Point) (bool, error) {
 }
 
 // searchData binary-searches a level's sorted data chain through its page
-// directory: O(log₂(pages)) reads.
+// directory: O(log₂(pages)) reads. Records are decoded straight from the
+// page bytes, which are pool views where the pager has frames.
 func searchData(p disk.Pager, lv *levelState, pt record.Point) (bool, error) {
 	if len(lv.dataPages) == 0 {
 		return false, nil
 	}
-	buf := make([]byte, p.PageSize())
+	r := disk.NewPageReader(p)
 	cap := disk.ChainCap(p.PageSize(), record.PointSize)
 	// Find the rightmost page whose first record is <= pt.
 	lo, hi, found := 0, len(lv.dataPages)-1, -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		first, _, err := readDataPage(p, lv.dataPages[mid], buf, cap)
+		page, _, err := readDataPage(&r, lv.dataPages[mid], cap)
 		if err != nil {
 			return false, fmt.Errorf("lsm: level %d data page %d: %w", lv.slot, lv.dataPages[mid], err)
 		}
-		if pt.Less(first) {
+		if pt.Less(dataRecord(page, 0)) {
 			hi = mid - 1
 		} else {
 			found = mid
@@ -945,37 +955,40 @@ func searchData(p disk.Pager, lv *levelState, pt record.Point) (bool, error) {
 	if found < 0 {
 		return false, nil
 	}
-	_, recs, err := readDataPage(p, lv.dataPages[found], buf, cap)
+	page, n, err := readDataPage(&r, lv.dataPages[found], cap)
 	if err != nil {
 		return false, fmt.Errorf("lsm: level %d data page %d: %w", lv.slot, lv.dataPages[found], err)
 	}
-	for _, r := range recs {
-		if r == pt {
+	for i := 0; i < n; i++ {
+		rec := dataRecord(page, i)
+		if rec == pt {
 			return true, nil
 		}
-		if pt.Less(r) {
+		if pt.Less(rec) {
 			break
 		}
 	}
 	return false, nil
 }
 
-// readDataPage reads one chain page of points, returning the first record
-// and the decoded page contents.
-func readDataPage(p disk.Pager, id disk.PageID, buf []byte, cap int) (record.Point, []record.Point, error) {
-	var first record.Point
-	if err := p.Read(id, buf); err != nil {
-		return first, nil, err
+// readDataPage reads one chain page of points through r, returning the page
+// bytes (valid until r's next read, never to be written) and its record
+// count, which is checked against the page capacity.
+func readDataPage(r *disk.PageReader, id disk.PageID, cap int) ([]byte, int, error) {
+	page, err := r.Read(id)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := int(uint16(buf[8]) | uint16(buf[9])<<8)
+	n := int(uint16(page[8]) | uint16(page[9])<<8)
 	if n < 1 || n > cap {
-		return first, nil, fmt.Errorf("lsm: data page %d holds %d records (cap %d): %w", id, n, cap, disk.ErrCorrupt)
+		return nil, 0, fmt.Errorf("lsm: data page %d holds %d records (cap %d): %w", id, n, cap, disk.ErrCorrupt)
 	}
-	recs := make([]record.Point, n)
-	for i := 0; i < n; i++ {
-		recs[i] = record.DecodePoint(buf[10+i*record.PointSize:])
-	}
-	return recs[0], recs, nil
+	return page, n, nil
+}
+
+// dataRecord decodes record i of a data chain page.
+func dataRecord(page []byte, i int) record.Point {
+	return record.DecodePoint(page[10+i*record.PointSize:])
 }
 
 // Len reports the number of live records (inserts minus deletes).

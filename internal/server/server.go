@@ -276,6 +276,10 @@ func (s *Server) op(endpoint string, fn opFunc) http.HandlerFunc {
 			// the stall breaks and the typed timeout actually reaches the
 			// peer.
 			http.NewResponseController(w).SetReadDeadline(time.Now()) //nolint:errcheck
+			// That deadline stays on the connection, so it must not carry
+			// another request: a reused connection's next request would
+			// see its context cancelled by the expired read.
+			w.Header().Set("Connection", "close")
 			// The operation keeps running against its pinned snapshot and
 			// releases its slot when it finishes; the client hears the
 			// typed timeout now.
